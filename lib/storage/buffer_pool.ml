@@ -6,7 +6,9 @@
    - the pin ledger never goes negative ([unpin] on a pin-count of 0
      raises);
    - a dirty frame is never evicted without [write_back] completing
-     first;
+     first.  A dirty victim is written back together with every other
+     unpinned dirty frame, in one [write_back] call, so the engine pays
+     its log force and fsyncs once per batch rather than once per page;
    - the clock hand always makes progress: eviction scans at most two
      full sweeps before declaring the pool exhausted (every frame
      pinned), so a lost reference bit cannot loop forever. *)
@@ -31,7 +33,7 @@ type t = {
   map : (int, int) Hashtbl.t; (* pid -> frame index *)
   mutable hand : int;
   load : int -> Page.t;
-  write_back : int -> Page.t -> unit;
+  write_back : (int * Page.t) list -> unit;
   stats : stats;
 }
 
@@ -51,13 +53,18 @@ let create ~pages ~load ~write_back =
 let stats t = t.stats
 let capacity t = Array.length t.frames
 
-let flush_frame t f =
-  match f.f_page with
-  | Some page when f.f_dirty ->
-      t.write_back f.f_pid page;
-      t.stats.write_backs <- t.stats.write_backs + 1;
-      f.f_dirty <- false
-  | _ -> ()
+(* Writes back, in one call and in pid order, every resident dirty frame
+   [keep] selects, then marks them clean. *)
+let flush_where t keep =
+  let dirty =
+    List.filter (fun f -> f.f_pid >= 0 && f.f_dirty && keep f) (Array.to_list t.frames)
+    |> List.sort (fun a b -> Int.compare a.f_pid b.f_pid)
+  in
+  if dirty <> [] then begin
+    t.write_back (List.map (fun f -> (f.f_pid, Option.get f.f_page)) dirty);
+    t.stats.write_backs <- t.stats.write_backs + List.length dirty;
+    List.iter (fun f -> f.f_dirty <- false) dirty
+  end
 
 let victim t =
   let n = Array.length t.frames in
@@ -92,7 +99,7 @@ let get t pid =
       let i = victim t in
       let f = t.frames.(i) in
       if f.f_pid >= 0 then begin
-        flush_frame t f;
+        if f.f_dirty then flush_where t (fun g -> g.f_pin = 0);
         Hashtbl.remove t.map f.f_pid;
         t.stats.evictions <- t.stats.evictions + 1
       end;
@@ -120,7 +127,7 @@ let mark_dirty t pid =
   | None -> invalid_arg "Buffer_pool.mark_dirty: page not resident"
   | Some i -> t.frames.(i).f_dirty <- true
 
-let flush_all t = Array.iter (fun f -> if f.f_pid >= 0 then flush_frame t f) t.frames
+let flush_all t = flush_where t (fun _ -> true)
 
 let pinned t =
   Array.fold_left (fun acc f -> acc + (if f.f_pid >= 0 then f.f_pin else 0)) 0 t.frames

@@ -8,7 +8,10 @@
     - the pin ledger never goes negative;
     - a dirty frame is never evicted without the [write_back] callback
       completing first (which is where the engine enforces
-      WAL-before-data);
+      WAL-before-data).  Write-back is batched: a dirty victim goes out
+      in one call together with every other unpinned dirty frame, and
+      {!flush_all} is one call; a pinned frame is never in an eviction
+      batch and stays dirty;
     - the clock hand makes progress: at most two sweeps per eviction,
       then [Failure "Buffer_pool: all frames pinned"]. *)
 
@@ -21,8 +24,11 @@ type stats = {
 
 type t
 
-val create : pages:int -> load:(int -> Page.t) -> write_back:(int -> Page.t -> unit) -> t
-(** @raise Invalid_argument when [pages < 2] (relocation pins two). *)
+val create :
+  pages:int -> load:(int -> Page.t) -> write_back:((int * Page.t) list -> unit) -> t
+(** [write_back] receives a non-empty batch of [(pid, page)] in ascending
+    pid order; the frames are marked clean once it returns.
+    @raise Invalid_argument when [pages < 2] (relocation pins two). *)
 
 val get : t -> int -> Page.t
 (** Pins the page (loading and possibly evicting first).  Balance every
@@ -32,7 +38,8 @@ val unpin : t -> int -> dirty:bool -> unit
 val mark_dirty : t -> int -> unit
 
 val flush_all : t -> unit
-(** Writes every dirty resident page back (the checkpoint sweep). *)
+(** Writes every dirty resident page back in one batch (the checkpoint
+    sweep). *)
 
 val stats : t -> stats
 val capacity : t -> int

@@ -340,9 +340,13 @@ let run_plan cfg (plan : Fault.plan) =
   let tally = fresh_tally () in
   let label = Fault.to_string plan in
   let eng = Engine.create (engine_config cfg ~dir ~io_hook:(Some (hook_of_plan plan))) in
-  match drive cfg eng tally with
+  (* the final checkpoint inside [close] does IO too, so a plan's crash
+     point can land there: it is a crash like any other *)
+  match
+    drive cfg eng tally;
+    Engine.close eng
+  with
   | () ->
-      Engine.close eng;
       let st = capture dir tally.t_acked label in
       let violations, dump_s = recover_and_check cfg st in
       let digest =
@@ -431,7 +435,7 @@ let run cfg =
   in
   let eng = Engine.create (engine_config cfg ~dir:main_dir ~io_hook:(Some counting_hook)) in
   let states = ref [] and nstates = ref 0 in
-  Wal.set_observer (Engine.wal eng)
+  Engine.set_observer eng
     (Some
        (fun ev ->
          let label =
@@ -442,8 +446,8 @@ let run cfg =
          incr nstates;
          states := capture main_dir tally.t_acked label :: !states));
   drive cfg eng tally;
-  Wal.set_observer (Engine.wal eng) None;
-  let wal_records = Wal.length (Engine.wal eng) in
+  Engine.set_observer eng None;
+  let wal_records = (Engine.stats eng).Engine.s_wal_records in
   Engine.close eng;
   (* the final, cleanly-closed image must recover to itself too *)
   let final_state = capture main_dir tally.t_acked "final" in

@@ -50,6 +50,8 @@ type obs = {
   c_ckpts : Tavcc_obs.Metrics.counter;
   c_cache_hits : Tavcc_obs.Metrics.counter;
   c_cache_misses : Tavcc_obs.Metrics.counter;
+  c_wal_appends : Tavcc_obs.Metrics.counter;
+  c_wal_flushes : Tavcc_obs.Metrics.counter;
 }
 
 type t = {
@@ -58,8 +60,10 @@ type t = {
   data_fd : Unix.file_descr;
   wal_fd : Unix.file_descr;
   dblwr_fd : Unix.file_descr;
-  wal : Wal.t;
+  mutable lsn : int; (* records appended: the next record's LSN *)
+  mutable flushed_lsn : int; (* records forced to wal.log *)
   mutable pending : string list; (* encoded, newest first, not yet on disk *)
+  mutable observer : (Wal.event -> unit) option;
   mutable wal_bytes : int;
   mutable dblwr_bytes : int;
   mutable pool : Buffer_pool.t; (* knot-tied after create *)
@@ -72,7 +76,9 @@ type t = {
   cache : (int, Value.t array) Hashtbl.t;
   cache_ring : int array; (* eviction ring over cached oids; -1 = free *)
   mutable cache_cur : int;
-  active : (int, unit) Hashtbl.t;
+  active : (int, Wal.record list ref) Hashtbl.t;
+      (* open txn -> its undo chain: its Update/Insert/Delete records,
+         newest first *)
   ambient : (int * int, int) Hashtbl.t;
   obs : obs option;
   mutable hooks_on : bool;
@@ -125,13 +131,25 @@ let hooked_write t pt fd off b =
 
 (* --- WAL --- *)
 
+let notify t ev = match t.observer with None -> () | Some f -> f ev
+
+(* Appends [r] to the volatile tail and, when it changes the store under
+   an open transaction, to that transaction's undo chain.  No record is
+   kept once it is on disk: rollback needs only the chains. *)
 let log t r =
-  let lsn = Wal.append t.wal r in
+  let lsn = t.lsn in
+  t.lsn <- lsn + 1;
   t.pending <- Codec.encode_record r :: t.pending;
+  (match r with
+  | Wal.Update { txn; _ } | Wal.Insert { txn; _ } | Wal.Delete { txn; _ } -> (
+      match Hashtbl.find_opt t.active txn with Some u -> u := r :: !u | None -> ())
+  | _ -> ());
+  bump t (fun o -> o.c_wal_appends);
+  notify t (Wal.Appended (r, lsn));
   lsn
 
 let wal_flush t =
-  if t.pending <> [] then begin
+  if t.flushed_lsn < t.lsn then begin
     let payload = String.concat "" (List.rev t.pending) in
     hooked_write t (Wal_write (String.length payload)) t.wal_fd t.wal_bytes
       (Bytes.of_string payload);
@@ -139,7 +157,9 @@ let wal_flush t =
     t.pending <- [];
     maybe_fsync t t.wal_fd;
     bumpn t (fun o -> o.c_wal_bytes) (String.length payload);
-    Wal.flush t.wal
+    t.flushed_lsn <- t.lsn;
+    bump t (fun o -> o.c_wal_flushes);
+    notify t (Wal.Flushed t.flushed_lsn)
   end
 
 (* --- double-write buffer --- *)
@@ -191,18 +211,28 @@ let load_page t pid =
     | Ok p -> p
     | Error e -> failwith (Printf.sprintf "Storage: corrupt page %d (%s)" pid e)
 
-let write_back t pid page =
-  (* WAL-before-data: the log must be stable past the page's LSN before
-     the page image may replace the one on disk. *)
+let write_back t batch =
+  (* WAL-before-data: the log must be stable past every page's LSN
+     before any page image may replace the one on disk.  Then the whole
+     batch goes to the double-write buffer, which is made stable before
+     the first in-place write, so a page torn in place always has an
+     intact copy to be repaired from: three forces per batch, not per
+     page. *)
   wal_flush t;
-  let img = Page.to_bytes page in
-  let entry = dblwr_entry pid img in
-  hooked_write t (Dblwr_write pid) t.dblwr_fd t.dblwr_bytes entry;
-  t.dblwr_bytes <- t.dblwr_bytes + Bytes.length entry;
+  let imgs = List.map (fun (pid, page) -> (pid, Page.to_bytes page)) batch in
+  List.iter
+    (fun (pid, img) ->
+      let entry = dblwr_entry pid img in
+      hooked_write t (Dblwr_write pid) t.dblwr_fd t.dblwr_bytes entry;
+      t.dblwr_bytes <- t.dblwr_bytes + Bytes.length entry)
+    imgs;
   maybe_fsync t t.dblwr_fd;
-  hooked_write t (Page_write pid) t.data_fd (page_off t pid) img;
-  maybe_fsync t t.data_fd;
-  bump t (fun o -> o.c_page_writes)
+  List.iter
+    (fun (pid, img) ->
+      hooked_write t (Page_write pid) t.data_fd (page_off t pid) img;
+      bump t (fun o -> o.c_page_writes))
+    imgs;
+  maybe_fsync t t.data_fd
 
 (* --- in-memory maps --- *)
 
@@ -240,7 +270,7 @@ let cache_put t oid values =
   end;
   Hashtbl.replace t.cache oid values
 
-let stamp t page = Page.set_lsn page (Wal.length t.wal)
+let stamp t page = Page.set_lsn page t.lsn
 
 let free_update t pid page = Hashtbl.replace t.free pid (Page.insert_capacity page)
 
@@ -416,39 +446,32 @@ let meta_read ~page_size fd =
 (* --- transactions --- *)
 
 let rollback_locked t txn =
-  (* Manager-style: walk this transaction's live incarnation backwards,
-     compensating each logged change.  Updates get CLRs; an insert is
-     compensated by a logged Delete, a delete by a logged Insert — both
-     replay correctly on the redo pass and are discarded with the
-     transaction by the committed-prefix oracle. *)
-  let rec roll = function
-    | [] -> ()
-    | r :: tl -> (
-        match r with
-        | Wal.Begin x when x = txn -> ()
-        | Wal.Update { txn = x; oid; field; before; _ } when x = txn ->
-            ignore (log t (Wal.Clr { txn; oid; field; after = before }));
-            let o = Oid.to_int oid in
-            if Hashtbl.mem t.dir_tbl o then
-              apply_update_by_name t o (FN.to_string field) before;
-            roll tl
-        | Wal.Insert { txn = x; oid; cls; slots } when x = txn ->
-            ignore (log t (Wal.Delete { txn; oid; cls; slots }));
-            let o = Oid.to_int oid in
-            if Hashtbl.mem t.dir_tbl o then apply_delete t o;
-            roll tl
-        | Wal.Delete { txn = x; oid; cls; slots } when x = txn ->
-            ignore (log t (Wal.Insert { txn; oid; cls; slots }));
-            let o = Oid.to_int oid in
-            if not (Hashtbl.mem t.dir_tbl o) then
-              apply_insert t ~oid:o ~cls:(CN.to_string cls)
-                ~slots:
-                  (Array.of_list
-                     (List.map (fun (f, v) -> (FN.to_string f, v)) slots));
-            roll tl
-        | _ -> roll tl)
-  in
-  roll (List.rev (Wal.all t.wal))
+  (* Walk this incarnation's undo chain, newest first, compensating each
+     logged change.  Updates get CLRs; an insert is compensated by a
+     logged Delete, a delete by a logged Insert — both replay correctly
+     on the redo pass and are discarded with the transaction by the
+     committed-prefix oracle.  The chain leaves [active] first, so the
+     compensations are not chained themselves. *)
+  let chain = match Hashtbl.find_opt t.active txn with Some u -> !u | None -> [] in
+  Hashtbl.remove t.active txn;
+  List.iter
+    (function
+      | Wal.Update { oid; field; before; _ } ->
+          ignore (log t (Wal.Clr { txn; oid; field; after = before }));
+          let o = Oid.to_int oid in
+          if Hashtbl.mem t.dir_tbl o then apply_update_by_name t o (FN.to_string field) before
+      | Wal.Insert { oid; cls; slots; _ } ->
+          ignore (log t (Wal.Delete { txn; oid; cls; slots }));
+          let o = Oid.to_int oid in
+          if Hashtbl.mem t.dir_tbl o then apply_delete t o
+      | Wal.Delete { oid; cls; slots; _ } ->
+          ignore (log t (Wal.Insert { txn; oid; cls; slots }));
+          let o = Oid.to_int oid in
+          if not (Hashtbl.mem t.dir_tbl o) then
+            apply_insert t ~oid:o ~cls:(CN.to_string cls)
+              ~slots:(Array.of_list (List.map (fun (f, v) -> (FN.to_string f, v)) slots))
+      | _ -> ())
+    chain
 
 let locked t f =
   Mutex.lock t.mu;
@@ -463,7 +486,7 @@ let locked t f =
 let begin_txn t txn =
   locked t (fun () ->
       ignore (log t (Wal.Begin txn));
-      Hashtbl.replace t.active txn ();
+      Hashtbl.replace t.active txn (ref []);
       Hashtbl.replace t.ambient (ambient_key ()) txn)
 
 let commit t txn =
@@ -485,7 +508,7 @@ let checkpoint t =
       ignore (hook t Ckpt_begin);
       Buffer_pool.flush_all t.pool;
       wal_flush t;
-      let activ = List.sort Int.compare (Hashtbl.fold (fun k () l -> k :: l) t.active []) in
+      let activ = List.sort Int.compare (Hashtbl.fold (fun k _ l -> k :: l) t.active []) in
       let lsn = log t (Wal.Checkpoint activ) in
       wal_flush t;
       t.ckpt_lsn <- lsn;
@@ -563,7 +586,7 @@ let observe t (a : Tavcc_sim.Engine.access) =
   | Tavcc_sim.Engine.Ob_begin txn ->
       locked t (fun () ->
           ignore (log t (Wal.Begin txn));
-          Hashtbl.replace t.active txn ())
+          Hashtbl.replace t.active txn (ref []))
   | Tavcc_sim.Engine.Ob_read _ -> ()
   | Tavcc_sim.Engine.Ob_write { txn; oid; field; before; after } ->
       locked t (fun () -> ignore (log t (Wal.Update { txn; oid; field; before; after })))
@@ -635,13 +658,13 @@ let recover_locked t =
   let consumed = String.length (Codec.encode records) in
   Unix.ftruncate t.wal_fd consumed;
   t.wal_bytes <- consumed;
-  List.iter (fun r -> ignore (Wal.append t.wal r)) records;
-  Wal.flush t.wal;
+  t.lsn <- List.length records;
+  t.flushed_lsn <- t.lsn;
   (* 2. meta (torn-tolerant: fall back to full-log redo) *)
   let ckpt0, noid0, npid0 =
     match meta_read ~page_size:ps t.data_fd with Some m -> m | None -> (0, 0, 1)
   in
-  t.ckpt_lsn <- min ckpt0 (List.length records);
+  t.ckpt_lsn <- min ckpt0 t.lsn;
   t.next_oid <- noid0;
   (* 3. double-write repairs for torn pages *)
   let repairs = dblwr_decode (read_whole t.dblwr_fd) in
@@ -795,6 +818,8 @@ let create cfg =
           c_ckpts = c "storage.checkpoints";
           c_cache_hits = c "storage.cache_hits";
           c_cache_misses = c "storage.cache_misses";
+          c_wal_appends = c "wal.appends";
+          c_wal_flushes = c "wal.flushes";
         })
       cfg.metrics
   in
@@ -805,8 +830,10 @@ let create cfg =
       data_fd = openf "data.pages";
       wal_fd = openf "wal.log";
       dblwr_fd = openf "dblwr.log";
-      wal = Wal.create ?metrics:cfg.metrics ();
+      lsn = 0;
+      flushed_lsn = 0;
       pending = [];
+      observer = None;
       wal_bytes = 0;
       dblwr_bytes = 0;
       (* placeholder; the real pool (whose callbacks close over [t]) is
@@ -814,7 +841,7 @@ let create cfg =
       pool =
         Buffer_pool.create ~pages:2
           ~load:(fun _ -> Page.create Page.min_size)
-          ~write_back:(fun _ _ -> ());
+          ~write_back:(fun _ -> ());
       dir_tbl = Hashtbl.create 1024;
       extents = Hashtbl.create 16;
       free = Hashtbl.create 64;
@@ -859,7 +886,7 @@ let abandon t =
   (try Unix.close t.wal_fd with Unix.Unix_error _ -> ());
   (try Unix.close t.dblwr_fd with Unix.Unix_error _ -> ())
 
-let wal t = t.wal
+let set_observer t f = t.observer <- f
 
 let dump t =
   locked t (fun () ->
@@ -886,7 +913,7 @@ let stats t =
         s_data_pages = t.next_pid - 1;
         s_pool_pages = Buffer_pool.capacity t.pool;
         s_pool = Buffer_pool.stats t.pool;
-        s_wal_records = Wal.length t.wal;
+        s_wal_records = t.lsn;
         s_wal_bytes = t.wal_bytes;
         s_cache_entries = Hashtbl.length t.cache;
       })

@@ -7,8 +7,10 @@
       oid/page high-water marks); pages 1.. are {!Page} slotted pages of
       serialized instances;
     - [wal.log] — {!Tavcc_chaos.Codec}-framed {!Tavcc_recovery.Wal}
-      records.  The in-memory [Wal.t] mirrors it record-for-record, so
-      chaos observers and the TAV sanitizer work unchanged;
+      records.  No copy is kept in memory: the engine holds only an LSN
+      counter, the encoded tail not yet forced, and one undo chain per
+      open transaction; crash harnesses watch the log through
+      {!set_observer};
     - [dblwr.log] — a double-write buffer: every page image lands here
       (checksummed) before its in-place write, so a torn page write is
       repaired at recovery.  Truncated at each checkpoint.
@@ -16,7 +18,10 @@
     Disciplines enforced:
 
     - {b WAL-before-data}: the pool's write-back first forces the log,
-      so a page image on disk is never ahead of the stable log;
+      so a page image on disk is never ahead of the stable log.  Pages
+      go back in batches: one log force, every image appended to the
+      double-write buffer and forced, then every page written in place
+      and the data file forced;
     - {b fuzzy checkpoint}: {!checkpoint} flushes every dirty page, logs
       [Checkpoint active], forces, truncates the double-write buffer and
       rewrites the meta page — redo then starts at the checkpoint LSN;
@@ -101,10 +106,12 @@ val commit : t -> int -> unit
 (** Logs [Commit] and forces the WAL (the durability point). *)
 
 val abort : t -> int -> unit
-(** Rolls the transaction back through the log — CLRs for updates,
-    compensating deletes/inserts for inserts/deletes — then logs
-    [Abort].  Idempotent with respect to a store already rolled back by
-    an engine's own undo. *)
+(** Rolls the transaction back through its own undo chain, newest first
+    — CLRs for updates, compensating deletes/inserts for inserts/deletes
+    — then logs [Abort].  The cost is that of the transaction's changes,
+    whatever the length of the log.  Only the incarnation opened by the
+    latest {!begin_txn} of the id is undone.  Idempotent with respect to
+    a store already rolled back by an engine's own undo. *)
 
 val checkpoint : t -> unit
 (** Fuzzy checkpoint: flush all dirty pages, log [Checkpoint], force,
@@ -131,9 +138,12 @@ val journal : t -> Tavcc_par.Par_engine.journal
 
 (** {2 Introspection} *)
 
-val wal : t -> Wal.t
-(** The in-memory mirror of the on-disk log (for observers and the
-    sanitizer).  Do not append to it directly. *)
+val set_observer : t -> (Wal.event -> unit) option -> unit
+(** Installs (or clears) a hook that sees every log append
+    ([Appended (record, lsn)]) and every force ([Flushed lsn], the new
+    stable record count), each {e after} it happened — the crash
+    matrix's virtual clock.  It runs under the engine's mutex and must
+    not call back into the engine. *)
 
 val dump : t -> (int * string * (string * Value.t) list) list
 (** Every live instance, sorted by oid — the logical state the crash
@@ -145,6 +155,8 @@ type stats = {
   s_pool_pages : int;
   s_pool : Buffer_pool.stats;
   s_wal_records : int;
+      (** records appended to the log since the directory was created
+          (the next LSN); none of them is held in memory *)
   s_wal_bytes : int;
   s_cache_entries : int;
 }

@@ -158,7 +158,7 @@ let prop_page_ops =
 let dummy_load _ = Page.create 256
 
 let test_pool_ledger () =
-  let pool = Pool.create ~pages:2 ~load:dummy_load ~write_back:(fun _ _ -> ()) in
+  let pool = Pool.create ~pages:2 ~load:dummy_load ~write_back:(fun _ -> ()) in
   ignore (Pool.get pool 1);
   Pool.unpin pool 1 ~dirty:false;
   Alcotest.check_raises "ledger underflow raises"
@@ -169,7 +169,7 @@ let test_pool_ledger () =
       Pool.unpin pool 99 ~dirty:false)
 
 let test_pool_all_pinned () =
-  let pool = Pool.create ~pages:2 ~load:dummy_load ~write_back:(fun _ _ -> ()) in
+  let pool = Pool.create ~pages:2 ~load:dummy_load ~write_back:(fun _ -> ()) in
   ignore (Pool.get pool 1);
   ignore (Pool.get pool 2);
   Alcotest.check_raises "exhausted pool fails loudly"
@@ -178,8 +178,11 @@ let test_pool_all_pinned () =
 let test_pool_dirty_never_dropped () =
   let written = Hashtbl.create 16 in
   let pool =
-    Pool.create ~pages:3 ~load:dummy_load ~write_back:(fun pid _ ->
-        Hashtbl.replace written pid (1 + Option.value ~default:0 (Hashtbl.find_opt written pid)))
+    Pool.create ~pages:3 ~load:dummy_load ~write_back:(fun batch ->
+        List.iter
+          (fun (pid, _) ->
+            Hashtbl.replace written pid (1 + Option.value ~default:0 (Hashtbl.find_opt written pid)))
+          batch)
   in
   let dirtied = ref [] in
   for pid = 1 to 12 do
@@ -209,7 +212,9 @@ let prop_pool_model =
         | Some img -> (match Page.of_bytes img with Ok p -> p | Error e -> failwith e)
         | None -> Page.create 256
       in
-      let write_back pid page = Hashtbl.replace disk pid (Page.to_bytes page) in
+      let write_back =
+        List.iter (fun (pid, page) -> Hashtbl.replace disk pid (Page.to_bytes page))
+      in
       let pool = Pool.create ~pages:3 ~load ~write_back in
       let model = Hashtbl.create 16 in
       let ok = ref true in
@@ -239,8 +244,8 @@ let test_pool_two_domain_hammer () =
     | None -> Page.create 256
   in
   let pool =
-    Pool.create ~pages:4 ~load ~write_back:(fun pid page ->
-        Hashtbl.replace disk pid (Page.to_bytes page))
+    Pool.create ~pages:4 ~load
+      ~write_back:(List.iter (fun (pid, page) -> Hashtbl.replace disk pid (Page.to_bytes page)))
   in
   let body seed () =
     let rng = Rng.create seed in
@@ -269,6 +274,33 @@ let test_pool_two_domain_hammer () =
   Alcotest.(check int) "pin ledger balanced" 0 (Pool.pinned pool);
   Pool.flush_all pool;
   Alcotest.(check int) "no dirt after flush" 0 (Pool.dirty_count pool)
+
+let test_pool_eviction_batch () =
+  (* k dirty unpinned frames and one dirty pinned frame: the eviction
+     writes the k back in one call and leaves the pinned one dirty *)
+  let k = 4 in
+  let calls = ref [] in
+  let pool =
+    Pool.create ~pages:(k + 1) ~load:dummy_load ~write_back:(fun batch ->
+        calls := List.map fst batch :: !calls)
+  in
+  for pid = 1 to k do
+    ignore (Pool.get pool pid);
+    Pool.unpin pool pid ~dirty:true
+  done;
+  ignore (Pool.get pool (k + 1));
+  Pool.mark_dirty pool (k + 1);
+  Alcotest.(check int) "all frames dirty" (k + 1) (Pool.dirty_count pool);
+  ignore (Pool.get pool (k + 2));
+  Alcotest.(check (list (list int))) "one call carrying exactly the unpinned dirty frames"
+    [ List.init k (fun i -> i + 1) ]
+    !calls;
+  Alcotest.(check int) "only the pinned frame stays dirty" 1 (Pool.dirty_count pool);
+  Pool.unpin pool (k + 1) ~dirty:false;
+  Pool.unpin pool (k + 2) ~dirty:false;
+  Pool.flush_all pool;
+  Alcotest.(check int) "flush_all is one more call" 2 (List.length !calls);
+  Alcotest.(check (list int)) "carrying the formerly pinned frame" [ k + 1 ] (List.hd !calls)
 
 (* --- the engine end-to-end --- *)
 
@@ -385,6 +417,171 @@ let test_engine_abort_rolls_back () =
       Alcotest.(check bool) "undone insert stays gone" false (Store.exists store2 c);
       Engine.close eng2)
 
+(* Two threads, each with its own ambient transaction on one engine,
+   take turns: inserts, qty updates, growing and shrinking labels (which
+   migrate records across 512-byte pages) and deletes.  One aborts, the
+   other commits; the store must hold exactly the committed changes. *)
+let test_engine_interleaved_rollback () =
+  with_dir "interleaved" (fun dir ->
+      let schema = storage_schema () in
+      let eng = Engine.create (small_config dir) in
+      let item vq vl = [ (fn "qty", vq); (fn "label", vl) ] in
+      let expected = Hashtbl.create 64 in
+      let init = Engine.store eng schema in
+      let owned =
+        Array.init 2 (fun t ->
+            ref
+              (List.init 6 (fun i ->
+                   let q = Value.Vint ((10 * t) + i) and l = Value.Vstring (Printf.sprintf "o%d" i) in
+                   let o = Store.new_instance ~init:(item q l) init (cn "item") in
+                   Hashtbl.replace expected (Oid.to_int o) [ ("qty", q); ("label", l) ];
+                   o)))
+      in
+      let turn = ref 0 and mu = Mutex.create () and cv = Condition.create () in
+      let failure = ref None in
+      let steps = 40 in
+      let body me () =
+        let txn = me + 1 and commits = me = 1 in
+        let store = Engine.store eng schema in
+        let rng = Rng.create (7 + me) in
+        let mine = owned.(me) in
+        let model f = if commits then f () in
+        let op i =
+          if i = 0 then Engine.begin_txn eng txn
+          else if i = steps - 1 then
+            if commits then Engine.commit eng txn else Engine.abort eng txn
+          else
+            match Rng.int rng 4 with
+            | 0 ->
+                let q = Value.Vint (1000 + i) and l = Value.Vstring (String.make (1 + Rng.int rng 30) 'n') in
+                let o = Store.new_instance ~init:(item q l) store (cn "item") in
+                mine := o :: !mine;
+                model (fun () -> Hashtbl.replace expected (Oid.to_int o) [ ("qty", q); ("label", l) ])
+            | 1 ->
+                let o = Rng.pick rng !mine and q = Value.Vint (Rng.int rng 1000) in
+                Store.write store o (fn "qty") q;
+                model (fun () ->
+                    match Hashtbl.find expected (Oid.to_int o) with
+                    | [ _; l ] -> Hashtbl.replace expected (Oid.to_int o) [ ("qty", q); l ]
+                    | _ -> assert false)
+            | 2 ->
+                let o = Rng.pick rng !mine in
+                let l = Value.Vstring (String.make (1 + Rng.int rng 90) (if me = 0 then 'a' else 'b')) in
+                Store.write store o (fn "label") l;
+                model (fun () ->
+                    match Hashtbl.find expected (Oid.to_int o) with
+                    | [ q; _ ] -> Hashtbl.replace expected (Oid.to_int o) [ q; ("label", l) ]
+                    | _ -> assert false)
+            | _ ->
+                if List.length !mine > 2 then begin
+                  let o = Rng.pick rng !mine in
+                  Store.delete_instance store o;
+                  mine := List.filter (fun x -> not (Oid.equal x o)) !mine;
+                  model (fun () -> Hashtbl.remove expected (Oid.to_int o))
+                end
+        in
+        for i = 0 to steps - 1 do
+          Mutex.lock mu;
+          while !turn <> me do
+            Condition.wait cv mu
+          done;
+          Mutex.unlock mu;
+          (try op i with e -> if !failure = None then failure := Some (Printexc.to_string e));
+          Mutex.lock mu;
+          turn := 1 - me;
+          Condition.broadcast cv;
+          Mutex.unlock mu
+        done
+      in
+      let threads = [ Thread.create (body 0) (); Thread.create (body 1) () ] in
+      List.iter Thread.join threads;
+      Alcotest.(check (option string)) "no thread raised" None !failure;
+      let want =
+        Hashtbl.fold (fun oid slots l -> (oid, "item", slots) :: l) expected []
+        |> List.sort compare
+      in
+      let dump = Engine.dump eng in
+      Alcotest.(check bool)
+        (Printf.sprintf "dump is the committed-only state (%d vs %d instances)" (List.length dump)
+           (List.length want))
+        true (dump = want);
+      (* and the same after a reopen, which replays the compensations *)
+      Engine.close eng;
+      let eng2 = Engine.create (small_config dir) in
+      Alcotest.(check bool) "and after reopen" true (Engine.dump eng2 = want);
+      Engine.close eng2)
+
+(* Abort, re-begin and abort the same id: the second abort undoes the
+   second incarnation only, not changes the first one already undid and
+   that were overwritten since. *)
+let test_engine_reincarnation () =
+  with_dir "reincarnation" (fun dir ->
+      let schema = storage_schema () in
+      let eng = Engine.create (small_config dir) in
+      let store = Engine.store eng schema in
+      let a = Store.new_instance ~init:[ (fn "qty", Value.Vint 1) ] store (cn "item")
+      and b = Store.new_instance ~init:[ (fn "qty", Value.Vint 2) ] store (cn "item") in
+      Engine.begin_txn eng 5;
+      Store.write store a (fn "qty") (Value.Vint 10);
+      Engine.abort eng 5;
+      Alcotest.(check value) "first incarnation undone" (Value.Vint 1) (Store.read store a (fn "qty"));
+      Store.write store a (fn "qty") (Value.Vint 3);
+      Engine.begin_txn eng 5;
+      Store.write store b (fn "qty") (Value.Vint 20);
+      let c = Store.new_instance ~init:[ (fn "qty", Value.Vint 4) ] store (cn "item") in
+      Engine.abort eng 5;
+      Alcotest.(check value) "second incarnation undone" (Value.Vint 2) (Store.read store b (fn "qty"));
+      Alcotest.(check bool) "its insert undone" false (Store.exists store c);
+      Alcotest.(check value) "first incarnation not undone twice" (Value.Vint 3)
+        (Store.read store a (fn "qty"));
+      Engine.close eng)
+
+(* A one-update abort costs the same after ~2k and after ~200k logged
+   records: rollback walks the transaction's own changes, not the log. *)
+let test_engine_abort_flat () =
+  with_dir "abort_flat" (fun dir ->
+      let schema = storage_schema () in
+      let eng = Engine.create { (small_config dir) with pool_pages = 64 } in
+      let store = Engine.store eng schema in
+      let oids =
+        Array.init 32 (fun i -> Store.new_instance ~init:[ (fn "qty", Value.Vint i) ] store (cn "item"))
+      in
+      let txn = ref 0 in
+      let grow_log_to n =
+        while (Engine.stats eng).Engine.s_wal_records < n do
+          incr txn;
+          Engine.begin_txn eng !txn;
+          for j = 0 to 97 do
+            Store.write store oids.(j mod 32) (fn "qty") (Value.Vint j)
+          done;
+          Engine.commit eng !txn
+        done
+      in
+      let median_abort_ns () =
+        let a =
+          Array.init 21 (fun i ->
+              incr txn;
+              Engine.begin_txn eng !txn;
+              Store.write store oids.(i mod 32) (fn "qty") (Value.Vint (-1));
+              let t0 = Monotonic_clock.now () in
+              Engine.abort eng !txn;
+              Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0))
+        in
+        Array.sort Int.compare a;
+        a.(10)
+      in
+      grow_log_to 2_000;
+      let small = median_abort_ns () in
+      grow_log_to 200_000;
+      let large = median_abort_ns () in
+      Alcotest.(check value) "the aborts rolled back" (Value.Vint 97)
+        (Store.read store oids.(1) (fn "qty"));
+      Alcotest.(check bool)
+        (Printf.sprintf "abort median %d ns at 200k records within 5x of %d ns at 2k" large small)
+        true
+        (large <= 5 * small);
+      Engine.close eng)
+
 (* --- the crash matrix --- *)
 
 let matrix_config ~dir ~seed =
@@ -397,6 +594,38 @@ let test_matrix_smoke () =
         (Format.asprintf "%a" Matrix.pp_report r)
         true (Matrix.ok r);
       Alcotest.(check bool) "injections actually fired" true (r.Matrix.m_crashes_fired > 0))
+
+(* A plan's crash point can fall in the final checkpoint of
+   [Engine.close]; that must count as a crash, not escape.  Seed 456972
+   hits it by chance; the last WAL force of a run, which is close's,
+   hits it by construction. *)
+let test_matrix_crash_in_close () =
+  with_dir "matrix_close" (fun dir ->
+      let r = Matrix.run (matrix_config ~dir ~seed:456972) in
+      Alcotest.(check bool) (Format.asprintf "%a" Matrix.pp_report r) true (Matrix.ok r);
+      let cfg = matrix_config ~dir ~seed:5 in
+      let cf n =
+        Matrix.run_plan cfg
+          {
+            Tavcc_chaos.Fault.injections = [ Tavcc_chaos.Fault.Crash_at_flush n ];
+            schedule = Tavcc_chaos.Fault.none.Tavcc_chaos.Fault.schedule;
+          }
+      in
+      let fires n =
+        let _, _, crashed = cf n in
+        crashed
+      in
+      (* the plan fires iff [n] is at most the run's force count *)
+      let rec last lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi + 1) / 2 in
+          if fires mid then last mid hi else last lo (mid - 1)
+      in
+      let n = last 1 10_000 in
+      let v, _, crashed = cf n in
+      Alcotest.(check bool) "the last force crashes" true crashed;
+      Alcotest.(check (list string)) "and recovers clean" [] v)
 
 let prop_matrix_seeds =
   QCheck.Test.make ~count:6 ~name:"crash matrix: zero violations across seeds" seed_arb
@@ -419,10 +648,18 @@ let suite =
     Alcotest.test_case "pool: dirty never dropped" `Quick test_pool_dirty_never_dropped;
     QCheck_alcotest.to_alcotest prop_pool_model;
     Alcotest.test_case "pool: two-domain pin/unpin hammer" `Quick test_pool_two_domain_hammer;
+    Alcotest.test_case "pool: one eviction, one write-back batch" `Quick test_pool_eviction_batch;
     Alcotest.test_case "engine: state survives close/reopen" `Quick test_engine_persists;
     Alcotest.test_case "engine: data larger than the pool" `Quick test_engine_larger_than_pool;
     Alcotest.test_case "engine: abort rolls back and stays rolled back" `Quick
       test_engine_abort_rolls_back;
+    Alcotest.test_case "engine: interleaved rollback of two threads" `Quick
+      test_engine_interleaved_rollback;
+    Alcotest.test_case "engine: re-begun id undoes its latest incarnation" `Quick
+      test_engine_reincarnation;
+    Alcotest.test_case "engine: abort cost is flat in log size" `Quick test_engine_abort_flat;
     Alcotest.test_case "crash matrix: smoke" `Quick test_matrix_smoke;
+    Alcotest.test_case "crash matrix: crash inside close (seed 456972)" `Quick
+      test_matrix_crash_in_close;
     QCheck_alcotest.to_alcotest prop_matrix_seeds;
   ]
